@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from scipy import stats as _scipy_stats
-
 
 @dataclass(frozen=True)
 class RunStatistics:
@@ -49,7 +47,8 @@ def summarize(values: Sequence[float], confidence: float = 0.95
         return RunStatistics(1, mean, 0.0, mean, mean, confidence)
     var = sum((v - mean) ** 2 for v in vals) / (n - 1)
     std = math.sqrt(var)
-    t = _scipy_stats.t.ppf(0.5 + confidence / 2, df=n - 1)
+    from scipy import stats   # deferred: scipy.stats costs ~1 s to import
+    t = stats.t.ppf(0.5 + confidence / 2, df=n - 1)
     half = t * std / math.sqrt(n)
     return RunStatistics(n, mean, std, mean - half, mean + half, confidence)
 
@@ -63,8 +62,8 @@ def separable(a: Sequence[float], b: Sequence[float],
     """
     if len(a) < 2 or len(b) < 2:
         raise ValueError("need at least two measurements per group")
-    t_stat, p_value = _scipy_stats.ttest_ind(list(a), list(b),
-                                             equal_var=False)
+    from scipy import stats
+    t_stat, p_value = stats.ttest_ind(list(a), list(b), equal_var=False)
     return bool(p_value < alpha), float(p_value)
 
 

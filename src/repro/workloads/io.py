@@ -19,6 +19,7 @@ import gzip
 import io
 import json
 import struct
+import zlib
 from pathlib import Path
 from typing import BinaryIO, Iterable, List, Union
 
@@ -26,75 +27,108 @@ from .trace import Trace, TraceRecord, make_trace
 
 _MAGIC = b"RTRC"
 _VERSION = 2
+#: after the magic: format version (u16), JSON header length (u32)
+_PREAMBLE = struct.Struct("<HI")
 #: per record: pc, addr (u64), flags (u8: bit0 write, bit1 dep), gap (u16)
 _RECORD = struct.Struct("<QQBH")
+#: largest ``gap`` the native format stores (u16)
+MAX_GAP = 0xFFFF
+_GZIP_MAGIC = b"\x1f\x8b"
 
 
 # ----------------------------------------------------------------------
 # Native format
 # ----------------------------------------------------------------------
 
-def _open_write(path: Path) -> BinaryIO:
-    if path.suffix == ".gz":
-        return gzip.open(path, "wb")
-    return open(path, "wb")
-
-
 def _open_read(path: Path) -> BinaryIO:
     with open(path, "rb") as probe:
         magic = probe.read(2)
-    if magic == b"\x1f\x8b":
+    if magic == _GZIP_MAGIC:
         return gzip.open(path, "rb")
     return open(path, "rb")
 
 
+def _unrepresentable(trace: Trace) -> str:
+    """Name the first record :data:`_RECORD` cannot pack, and why."""
+    for i, rec in enumerate(trace.records):
+        try:
+            _RECORD.pack(rec.pc, rec.addr, 0, rec.gap)
+        except struct.error as exc:
+            return f"record {i} {rec!r}: {exc}"
+    return "a record does not fit the format"
+
+
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write a trace in the native binary format (gzip if ``.gz``)."""
+    """Write a trace in the native binary format (gzip if ``.gz``).
+
+    The whole file is built in memory and written once; ``.gz`` files are
+    compressed at level 6 with ``mtime=0``, so one trace always yields the
+    same bytes.  Raises :class:`ValueError`, writing nothing, when a
+    record does not fit the format (``gap`` above :data:`MAX_GAP`, or
+    ``pc``/``addr`` outside u64): the file would reload as another trace.
+    """
     path = Path(path)
+    pack = _RECORD.pack
+    try:
+        body = b"".join([
+            pack(pc, addr, (1 if is_write else 0) | (2 if dep else 0), gap)
+            for pc, addr, is_write, gap, dep in trace.records])
+    except struct.error:
+        raise ValueError(
+            f"{path}: cannot save trace {trace.name!r} losslessly: "
+            f"{_unrepresentable(trace)}") from None
     header = json.dumps({
         "name": trace.name, "seed": trace.seed, "suite": trace.suite,
         "records": len(trace.records),
     }).encode()
-    with _open_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HI", _VERSION, len(header)))
-        fh.write(header)
-        for rec in trace.records:
-            flags = (1 if rec.is_write else 0) | (2 if rec.dep else 0)
-            fh.write(_RECORD.pack(rec.pc, rec.addr, flags,
-                                  min(rec.gap, 0xFFFF)))
+    blob = b"".join([_MAGIC, _PREAMBLE.pack(_VERSION, len(header)),
+                     header, body])
+    if path.suffix == ".gz":
+        blob = gzip.compress(blob, compresslevel=6, mtime=0)
+    path.write_bytes(blob)
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace written by :func:`save_trace`."""
+    """Read a trace written by :func:`save_trace`.
+
+    Every way a file can fail to decode (not a native trace, bad or
+    truncated gzip stream, short header, truncated record stream, record
+    count disagreeing with the header) raises :class:`ValueError`, with
+    the underlying exception chained.
+    """
     path = Path(path)
-    with _open_read(path) as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a native trace file")
-        version, header_len = struct.unpack("<HI", fh.read(6))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported trace version {version}")
-        meta = json.loads(fh.read(header_len))
-        records: List[TraceRecord] = []
+    raw = path.read_bytes()
+    if raw[:2] == _GZIP_MAGIC:
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise ValueError(f"{path}: unreadable gzip stream: {exc}") from exc
+    if raw[:4] != _MAGIC:
+        raise ValueError(f"{path}: not a native trace file")
+    try:
+        version, header_len = _PREAMBLE.unpack_from(raw, len(_MAGIC))
+    except struct.error as exc:
+        raise ValueError(f"{path}: truncated header") from exc
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported trace version {version}")
+    header_start = len(_MAGIC) + _PREAMBLE.size
+    body_start = header_start + header_len
+    try:
+        meta = json.loads(raw[header_start:body_start])
+        name, seed, suite = meta["name"], meta["seed"], meta["suite"]
         expected = meta["records"]
-        while True:
-            chunk = fh.read(_RECORD.size)
-            if not chunk:
-                break
-            if len(chunk) != _RECORD.size:
-                raise ValueError(f"{path}: truncated record stream")
-            pc, addr, flags, gap = _RECORD.unpack(chunk)
-            records.append(TraceRecord(
-                pc=pc, addr=addr, is_write=bool(flags & 1), gap=gap,
-                dep=bool(flags & 2)))
-    if len(records) != expected:
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed header: {exc}") from exc
+    body = memoryview(raw)[body_start:]
+    if len(body) % _RECORD.size:
+        raise ValueError(f"{path}: truncated record stream")
+    found = len(body) // _RECORD.size
+    if found != expected:
         raise ValueError(
-            f"{path}: header promises {expected} records, found "
-            f"{len(records)}")
-    trace = make_trace(meta["name"], records, seed=meta["seed"],
-                       suite=meta["suite"])
-    return trace
+            f"{path}: header promises {expected} records, found {found}")
+    records = [TraceRecord(pc, addr, bool(flags & 1), gap, bool(flags & 2))
+               for pc, addr, flags, gap in _RECORD.iter_unpack(body)]
+    return make_trace(name, records, seed=seed, suite=suite)
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,10 @@ Addressing mirrors :class:`~repro.harness.store.ResultStore`:
   read instead of poisoning sweeps.
 
 Byte-identity contract: a cached trace must round-trip *exactly* —
-:func:`repro.workloads.io.save_trace` clamps ``gap`` to 16 bits, so any
-record the format cannot represent losslessly makes the trace
-uncacheable (generated fresh every time) rather than subtly different.
+:func:`repro.workloads.io.save_trace` refuses a record the format cannot
+represent losslessly (``gap`` beyond 16 bits, ``pc``/``addr`` beyond 64),
+so such a trace is uncacheable (generated fresh every time) rather than
+subtly different.
 The golden-equivalence suite pins this: fixtures reproduce byte-for-byte
 with the cache cold, warm, and disabled.
 
@@ -38,13 +39,12 @@ import hashlib
 import json
 import logging
 import os
-import struct
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
-from .io import load_trace, save_trace
+from .io import MAX_GAP, load_trace, save_trace  # noqa: F401  (re-export)
 from .trace import Trace
 
 log = logging.getLogger(__name__)
@@ -54,10 +54,6 @@ _DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
 
 #: trace-key schema — bump when key semantics change
 KEY_VERSION = 1
-
-#: max gap value the native format stores losslessly (u16)
-MAX_GAP = 0xFFFF
-_MAX_U64 = (1 << 64) - 1
 
 #: in-process memo entries kept per cache (FIFO).  Sized for a sweep's
 #: working set (one workload tuple is reused across a whole policy
@@ -101,16 +97,6 @@ def trace_key(kind: str, name: str, n_records: int, seed: int,
          "n_records": n_records, "seed": seed, "scale": scale},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _representable(trace: Trace) -> bool:
-    """True when the native format round-trips ``trace`` losslessly."""
-    for rec in trace.records:
-        if not (0 <= rec.gap <= MAX_GAP):
-            return False
-        if not (0 <= rec.pc <= _MAX_U64 and 0 <= rec.addr <= _MAX_U64):
-            return False
-    return True
 
 
 class TraceCache:
@@ -162,8 +148,7 @@ class TraceCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, EOFError, KeyError, ValueError,
-                struct.error) as exc:
+        except (OSError, ValueError) as exc:
             self._quarantine(path, reason=f"{type(exc).__name__}: {exc}")
             self.misses += 1
             return None
@@ -174,14 +159,12 @@ class TraceCache:
     def put(self, key: str, trace: Trace) -> Optional[Path]:
         """Persist ``trace`` under ``key`` (atomic rename).
 
-        Returns ``None`` without writing when the native format cannot
-        represent the trace losslessly — caching such a trace would
-        break result byte-identity, which outranks throughput.
+        Returns ``None`` without writing a file when the native format
+        cannot represent the trace losslessly (:func:`save_trace` raises
+        ``ValueError``) — caching such a trace on disk would break result
+        byte-identity, which outranks throughput.  The in-process memo
+        still serves it.
         """
-        if not _representable(trace):
-            log.debug("trace %s not representable losslessly; not cached",
-                      trace.name)
-            return None
         self._remember(key, trace)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -190,11 +173,14 @@ class TraceCache:
             os.close(fd)
             save_trace(trace, tmp)
             os.replace(tmp, path)
-        except BaseException:
+        except BaseException as exc:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
+            if isinstance(exc, ValueError):
+                log.debug("trace not cached: %s", exc)
+                return None
             raise
         self.writes += 1
         self._maybe_chaos_corrupt(key, path)
@@ -259,8 +245,7 @@ class TraceCache:
             report.scanned += 1
             try:
                 load_trace(path)
-            except (OSError, EOFError, KeyError, ValueError,
-                    struct.error) as exc:
+            except (OSError, ValueError) as exc:
                 reason = f"{type(exc).__name__}: {exc}"
                 report.errors.append(f"{path.name}: {reason}")
                 moved = self._quarantine(path, reason=reason)

@@ -1,5 +1,9 @@
 """Multi-seed statistics helpers."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis.statistics import (
@@ -75,3 +79,23 @@ def test_formatted_output():
     s = summarize([1.0, 2.0])
     text = s.formatted()
     assert "±" in text and "n=2" in text
+
+
+def test_harness_import_leaves_scipy_unloaded():
+    """scipy.stats costs about a second to import; only summarize() and
+    separable() need it, so importing the harness must not load it."""
+    code = ("import sys, repro.harness; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_deferred_scipy_gives_the_same_numbers():
+    s = summarize([1, 2, 3])
+    assert (s.ci_low, s.ci_high) == pytest.approx(
+        (-0.48413771175033027, 4.48413771175033), rel=1e-12)
+    sig, p = separable([1.0, 2.0, 3.0, 4.0], [2.5, 3.5, 4.5, 6.0])
+    assert not sig and p == pytest.approx(0.15177438373882, rel=1e-12)

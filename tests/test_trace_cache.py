@@ -108,6 +108,35 @@ def test_corrupt_entry_is_quarantined_then_regenerated(cache):
     assert path.is_file()                          # rewritten entry
 
 
+def _flip_deflate_bytes(path, count=20):
+    """Invert ``count`` bytes mid-file: inside the deflate body, so the
+    gzip header still parses and zlib fails while inflating."""
+    data = bytearray(path.read_bytes())
+    mid = len(data) // 2
+    for i in range(mid, mid + count):
+        data[i] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def test_flipped_deflate_bytes_are_quarantined_not_raised(cache):
+    first = cached_trace(cache=cache, **SPEC_ARGS)
+    key = trace_key(**SPEC_ARGS)
+    _flip_deflate_bytes(cache.path_for(key))
+
+    reader = TraceCache(cache.root)                # fresh memo
+    assert reader.get(key) is None
+    assert reader.quarantined == 1
+    again = cached_trace(cache=reader, **SPEC_ARGS)
+    assert again.records == first.records
+    assert reader.stats()["writes"] == 1
+
+    _flip_deflate_bytes(cache.path_for(key))
+    report = reader.fsck()
+    assert report.scanned == 1 and report.ok == 0
+    assert len(report.errors) == 1 and key in report.errors[0]
+    assert "ValueError" in report.errors[0]
+
+
 def test_fsck_quarantines_unreadable_entries(cache):
     cached_trace(cache=cache, **SPEC_ARGS)
     cached_trace("spec", "470.lbm", 300, 3, 1, cache=cache)

@@ -1,7 +1,9 @@
 """Trace persistence (native format) and the ChampSim importer."""
 
 import gzip
+import json
 import struct
+import zlib
 
 import pytest
 
@@ -65,6 +67,76 @@ def test_native_detects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-7])
     with pytest.raises(ValueError, match="truncated|promises"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (TraceRecord(pc=2, addr=128, is_write=False, gap=70000), "gap=70000"),
+    (TraceRecord(pc=2, addr=1 << 64, is_write=True, gap=0), "addr="),
+])
+def test_native_refuses_unrepresentable_record(tmp_path, bad, match):
+    """A value outside the record's u16/u64 fields raises, naming the
+    record, instead of reloading as a different trace."""
+    trace = make_trace("wide", [TraceRecord(1, 64, False, 3), bad])
+    path = tmp_path / "wide.rtrc.gz"
+    with pytest.raises(ValueError, match=rf"record 1 .*{match}"):
+        save_trace(trace, path)
+    assert not path.exists()
+
+
+def test_native_gzip_bytes_are_deterministic(tmp_path):
+    trace = spec_trace("429.mcf", n_records=300, seed=2)
+    first, second = tmp_path / "a.rtrc.gz", tmp_path / "b.rtrc.gz"
+    save_trace(trace, first)
+    save_trace(trace, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_native_loads_streamed_level9_gzip(tmp_path):
+    """Files written record by record through ``gzip.open`` at the
+    default level 9 (the earlier writer) still load."""
+    trace = spec_trace("470.lbm", n_records=200, seed=6)
+    header = json.dumps({"name": trace.name, "seed": trace.seed,
+                         "suite": trace.suite,
+                         "records": len(trace.records)}).encode()
+    path = tmp_path / "streamed.rtrc.gz"
+    with gzip.open(path, "wb") as fh:
+        fh.write(b"RTRC")
+        fh.write(struct.pack("<HI", 2, len(header)))
+        fh.write(header)
+        for rec in trace.records:
+            flags = (1 if rec.is_write else 0) | (2 if rec.dep else 0)
+            fh.write(struct.pack("<QQBH", rec.pc, rec.addr, flags, rec.gap))
+    loaded = load_trace(path)
+    assert loaded.records == trace.records
+    assert (loaded.name, loaded.seed, loaded.suite) == \
+        (trace.name, trace.seed, trace.suite)
+
+
+@pytest.mark.parametrize("damage", ["flip", "truncate"])
+def test_native_gzip_damage_raises_value_error(tmp_path, damage):
+    trace = spec_trace("429.mcf", n_records=300, seed=4)
+    path = tmp_path / "t.rtrc.gz"
+    save_trace(trace, path)
+    data = bytearray(path.read_bytes())
+    if damage == "flip":
+        mid = len(data) // 2
+        data[mid:mid + 20] = bytes(b ^ 0xFF for b in data[mid:mid + 20])
+    else:
+        del data[len(data) // 2:]
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="unreadable gzip") as info:
+        load_trace(path)
+    assert isinstance(info.value.__cause__, (OSError, EOFError, zlib.error))
+
+
+def test_native_header_promises_more_records(tmp_path):
+    trace = spec_trace("429.mcf", n_records=40, seed=4)
+    path = tmp_path / "t.rtrc"
+    save_trace(trace, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-struct.calcsize("<QQBH")])   # drop one record
+    with pytest.raises(ValueError, match="promises 40 records, found 39"):
         load_trace(path)
 
 
