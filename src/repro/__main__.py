@@ -14,9 +14,10 @@ Commands
 ``store``      inspect / repair the persistent result store (``fsck``)
 ``check``      SimSan static lint over the tree (see repro.checks.lint)
 
-``run`` and ``sweep`` accept observability flags (``--metrics-interval``,
-``--trace``) that attach the ``repro.obs`` sampler/tracer to every
-freshly simulated point; artifacts land under ``--obs-dir``.
+``run``, ``sweep`` and ``campaign run`` accept observability flags
+(``--metrics-interval``, ``--trace``) that attach the ``repro.obs``
+sampler/tracer to every freshly simulated point; artifacts land under
+``--obs-dir``.
 
 ``run`` and ``sweep`` resolve every point through the persistent result
 store (``~/.cache/repro-care/results`` or ``$REPRO_RESULT_STORE``), so
@@ -190,8 +191,9 @@ def _enable_checkpoint(args) -> None:
         os.environ[CKPT_SECS_ENV] = str(secs)
 
 
-def _supervision_from_args(args, tag: str):
-    """Build the ``supervised_sweep`` context from CLI flags.
+def _supervision_from_args(args, tag: str, cmd: str):
+    """Build the ``supervised_sweep`` context from CLI flags (``cmd``
+    prefixes the resume messages).
 
     Raises ValueError for bad flag values (callers map that to the
     usage exit code 2).  Returns ``(context, incidents)``.
@@ -227,12 +229,12 @@ def _supervision_from_args(args, tag: str):
             manifest = SweepManifest.load(manifest_path)
             requeued = manifest.reset_failures()
             done = manifest.counts()["done"]
-            print(f"[sweep] resuming {manifest_path}: {done} point(s) "
+            print(f"[{cmd}] resuming {manifest_path}: {done} point(s) "
                   f"done, {requeued} failed point(s) re-queued",
                   file=sys.stderr)
         else:
             if resume:
-                print(f"[sweep] no manifest at {manifest_path}; starting "
+                print(f"[{cmd}] no manifest at {manifest_path}; starting "
                       "fresh", file=sys.stderr)
             manifest = SweepManifest(path=manifest_path, sweep=tag)
     incidents = IncidentLog(tag=tag)
@@ -242,50 +244,81 @@ def _supervision_from_args(args, tag: str):
     return ctx, incidents
 
 
-def _manifest_persist_abort(exc, incidents, obs_dir, tag: str) -> int:
-    """Shared epilogue for :class:`ManifestPersistError` (exit code 3)."""
-    from .obs.incidents import maybe_write
-    incidents.add("manifest-persist", path=str(exc.path),
-                  strikes=exc.strikes)
-    maybe_write(incidents, obs_dir)
-    print(f"\n[{tag}] aborted: {exc}", file=sys.stderr)
-    return 3
+def _supervised(args, tag: str, cmd: str, body,
+                cache_note: Optional[str] = None) -> int:
+    """The one supervision wrapper of ``run``, ``sweep`` and ``campaign run``.
 
-
-def _finish_supervised(sup, incidents, failures, obs_dir) -> int:
-    """Shared epilogue: failure table, incident artifact, exit code."""
-    from .harness.supervise import format_failure_table
-    from .obs.incidents import maybe_write
-
-    path = maybe_write(incidents, obs_dir)
-    if path is not None:
-        print(f"[sweep] {len(incidents)} incident(s) -> {path}",
-              file=sys.stderr)
-    if not failures:
-        return 0
-    print(file=sys.stderr)
-    print(format_failure_table(failures), file=sys.stderr)
-    if sup is not None and sup.manifest is not None:
-        print(f"[sweep] manifest: {sup.manifest.summary()} -> "
-              f"{sup.manifest.path} (re-run with --resume to retry)",
-              file=sys.stderr)
-    return 3
-
-
-def _cmd_run(args) -> int:
-    import json
-
-    from .analysis import format_table
-    from .harness import ExperimentSpec, run_many
+    Exports the ``--sanitize``/``--trace-cache``/``--checkpoint`` and
+    observability flags, builds the supervision context, and runs
+    ``body(sup, obs_on)`` (which simulates and prints the command's
+    output) inside it.  With observers on, ``cache_note`` tells the user
+    how to observe store-cached points too.  Exit codes: 2 for bad
+    flags, names or values, 3 for failed points or an unpersistable
+    manifest, 130 when interrupted; the incident artifact is written on
+    every exit but a usage error.
+    """
     from .harness.supervise import (ManifestPersistError, SweepFailedError,
                                     SweepInterrupted)
-    from .workloads import gap_workload_names, serve_names
+    from .obs.incidents import maybe_write
 
     if args.sanitize:
         _enable_sanitizer()
     _enable_trace_cache(args)
     _enable_checkpoint(args)
     obs_on = _enable_obs(args)
+    if obs_on and cache_note:
+        print(f"[{cmd}] observability on: store-cached points are served "
+              f"without artifacts; {cache_note}", file=sys.stderr)
+    try:
+        ctx, incidents = _supervision_from_args(args, tag, cmd)
+    except ValueError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    try:
+        with ctx as sup:
+            try:
+                body(sup, obs_on)
+            except SweepFailedError:  # --fail-fast; sup.failures has it
+                pass
+    except SweepInterrupted as exc:
+        print(f"\n[{cmd}] interrupted: {exc}", file=sys.stderr)
+        maybe_write(incidents, args.obs_dir)
+        return 130
+    except ManifestPersistError as exc:
+        incidents.add("manifest-persist", path=str(exc.path),
+                      strikes=exc.strikes)
+        maybe_write(incidents, args.obs_dir)
+        print(f"\n[{cmd}] aborted: {exc}", file=sys.stderr)
+        return 3
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    return _finish_supervised(cmd, sup, incidents, args.obs_dir)
+
+
+def _finish_supervised(cmd: str, sup, incidents, obs_dir) -> int:
+    """Epilogue: incident artifact, failure table, exit code."""
+    from .harness.supervise import format_failure_table
+    from .obs.incidents import maybe_write
+
+    path = maybe_write(incidents, obs_dir)
+    if path is not None:
+        print(f"[{cmd}] {len(incidents)} incident(s) -> {path}",
+              file=sys.stderr)
+    if not sup.failures:
+        return 0
+    print(file=sys.stderr)
+    print(format_failure_table(sup.failures), file=sys.stderr)
+    if sup.manifest is not None:
+        print(f"[{cmd}] manifest: {sup.manifest.summary()} -> "
+              f"{sup.manifest.path} (re-run with --resume to retry)",
+              file=sys.stderr)
+    return 3
+
+
+def _cmd_run(args) -> int:
+    from .workloads import gap_workload_names, serve_names
+
     if args.workload in gap_workload_names():
         suite = "gap"
     elif args.workload in serve_names():
@@ -293,40 +326,34 @@ def _cmd_run(args) -> int:
     else:
         suite = "spec"
     store = None if args.no_store else _default_store_arg()
-    try:
+
+    def body(_sup, obs_on: bool) -> None:
+        from .harness import ExperimentSpec, run_many
         specs = [ExperimentSpec.multicopy(
                      args.workload, policy, n_cores=args.cores,
                      prefetch=args.prefetch, suite=suite,
                      n_records=args.records // 2, seed=args.seed)
                  for policy in args.policies]
-        ctx, incidents = _supervision_from_args(
-            args, tag=f"run-{args.workload}")
-    except ValueError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    # Observer artifacts only exist when the simulator actually runs, so
-    # enabling them forces fresh simulation past the memo/store caches.
-    try:
-        with ctx as sup:
-            try:
-                results = run_many(specs, workers=args.workers, store=store,
-                                   force=obs_on)
-            except SweepFailedError as exc:  # --fail-fast
-                return _finish_supervised(sup, incidents, exc.failures,
-                                          args.obs_dir)
-            failures = list(sup.failures)
-    except SweepInterrupted as exc:
-        print(f"\n[run] interrupted: {exc}", file=sys.stderr)
-        return 130
-    except ManifestPersistError as exc:
-        return _manifest_persist_abort(exc, incidents, args.obs_dir, "run")
+        # Observer artifacts only exist when the simulator actually
+        # runs, so enabling them forces fresh simulation past the caches.
+        results = run_many(specs, workers=args.workers, store=store,
+                           force=obs_on)
+        _print_run(args, specs, results)
+
+    return _supervised(args, f"run-{args.workload}", "run", body)
+
+
+def _print_run(args, specs, results) -> None:
+    import json
+
+    from .analysis import format_table
     if args.json:
         print(json.dumps(
             [{"spec": spec.to_dict(),
               "result": None if res is None else res.to_dict()}
              for spec, res in zip(specs, results)],
             sort_keys=True, indent=2))
-        return _finish_supervised(sup, incidents, failures, args.obs_dir)
+        return
     rows = []
     base = None
     for policy, res in zip(args.policies, results):
@@ -345,7 +372,6 @@ def _cmd_run(args) -> int:
     print(format_table(
         ["policy", "sum IPC", "vs first", "MPKI", "pMR", "mean PMC",
          "AOCPA"], rows))
-    return _finish_supervised(sup, incidents, failures, args.obs_dir)
 
 
 def _default_store_arg():
@@ -357,23 +383,12 @@ def _cmd_sweep(args) -> int:
     from .harness.runner import session_stats
     from .harness.scale import scale_override
     from .harness.store import set_default_store
-    from .harness.supervise import (ManifestPersistError, SweepFailedError,
-                                    SweepInterrupted)
     from .harness.sweeps import available_sweeps, run_sweep
 
     if args.list or not args.name:
         for name, title in available_sweeps():
             print(f"{name:8s} {title}")
         return 0
-    if args.sanitize:
-        _enable_sanitizer()
-    _enable_trace_cache(args)
-    _enable_checkpoint(args)
-    obs_on = _enable_obs(args)
-    if obs_on and not args.no_store:
-        print("[sweep] observability on: store-cached points are served "
-              "without artifacts; use --no-store to observe every point",
-              file=sys.stderr)
     if args.no_store:
         set_default_store(None)
     overrides = {}
@@ -383,37 +398,20 @@ def _cmd_sweep(args) -> int:
         overrides["workloads"] = args.workloads
     if args.mixes is not None:
         overrides["mixes"] = args.mixes
-    try:
-        ctx, incidents = _supervision_from_args(args,
-                                                tag=f"sweep-{args.name}")
-    except ValueError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        with ctx as sup:
-            try:
-                with scale_override(**overrides):
-                    text = run_sweep(args.name, workers=args.workers,
-                                     progress=not args.quiet)
-            except SweepFailedError as exc:  # --fail-fast
-                return _finish_supervised(sup, incidents, exc.failures,
-                                          args.obs_dir)
-            failures = list(sup.failures)
-    except SweepInterrupted as exc:
-        print(f"\n[sweep] interrupted: {exc}", file=sys.stderr)
-        from .obs.incidents import maybe_write
-        maybe_write(incidents, args.obs_dir)
-        return 130
-    except ManifestPersistError as exc:
-        return _manifest_persist_abort(exc, incidents, args.obs_dir, "sweep")
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    print(text)
-    if session_stats.sweeps:
-        print(f"\n[sweep] {session_stats.sweeps[-1].summary()}")
-    print(f"[sweep] session total: {session_stats.summary()}")
-    return _finish_supervised(sup, incidents, failures, args.obs_dir)
+
+    def body(_sup, _obs_on: bool) -> None:
+        with scale_override(**overrides):
+            text = run_sweep(args.name, workers=args.workers,
+                             progress=not args.quiet)
+        print(text)
+        if session_stats.sweeps:
+            print(f"\n[sweep] {session_stats.sweeps[-1].summary()}")
+        print(f"[sweep] session total: {session_stats.summary()}")
+
+    return _supervised(
+        args, f"sweep-{args.name}", "sweep", body,
+        cache_note=None if args.no_store
+        else "use --no-store to observe every point")
 
 
 def _resolve_campaign(args):
@@ -502,13 +500,7 @@ def _cmd_campaign(args) -> int:
 
     # -- campaign run ---------------------------------------------------
     from .harness.runner import run_many, session_stats
-    from .harness.supervise import (ManifestPersistError, SweepFailedError,
-                                    SweepInterrupted)
 
-    if args.sanitize:
-        _enable_sanitizer()
-    _enable_trace_cache(args)
-    _enable_checkpoint(args)
     # The campaign is a standing resumable sweep: checkpoint to the
     # campaign's own manifest unless the caller picked another path.
     if args.manifest is None:
@@ -518,36 +510,21 @@ def _cmd_campaign(args) -> int:
           + (f" · slice {campaign.slice_name}" if campaign.slice_name else "")
           + f": {len(specs)} point(s) across {len(campaign.grids)} grid(s)",
           file=sys.stderr)
-    try:
-        ctx, incidents = _supervision_from_args(args, tag=campaign.tag())
-    except ValueError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    store = _default_store_arg()
-    try:
-        with ctx as sup:
-            try:
-                run_many(specs, workers=args.workers, store=store,
-                         progress=not args.quiet)
-            except SweepFailedError as exc:  # --fail-fast
-                return _finish_supervised(sup, incidents, exc.failures,
-                                          args.obs_dir)
-            failures = list(sup.failures)
-    except SweepInterrupted as exc:
-        print(f"\n[campaign] interrupted: {exc}", file=sys.stderr)
-        from .obs.incidents import maybe_write
-        maybe_write(incidents, args.obs_dir)
-        return 130
-    except ManifestPersistError as exc:
-        return _manifest_persist_abort(exc, incidents, args.obs_dir,
-                                       "campaign")
-    status = campaign_status(
-        campaign, _campaign_store(args),
-        manifest_counts=sup.manifest.counts() if sup.manifest else None)
-    print(format_status(status))
-    if session_stats.sweeps:
-        print(f"[campaign] {session_stats.sweeps[-1].summary()}")
-    return _finish_supervised(sup, incidents, failures, args.obs_dir)
+
+    def body(sup, _obs_on: bool) -> None:
+        run_many(specs, workers=args.workers, store=_default_store_arg(),
+                 progress=not args.quiet)
+        status = campaign_status(
+            campaign, _campaign_store(args),
+            manifest_counts=sup.manifest.counts() if sup.manifest else None)
+        print(format_status(status))
+        if session_stats.sweeps:
+            print(f"[campaign] {session_stats.sweeps[-1].summary()}")
+
+    return _supervised(
+        args, campaign.tag(), "campaign", body,
+        cache_note="point REPRO_RESULT_STORE at an empty directory to "
+                   "observe every point")
 
 
 def _cmd_perf(args) -> int:
@@ -886,7 +863,7 @@ def _add_supervise_args(parser: argparse.ArgumentParser,
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
-    """Observability flags shared by ``run`` and ``sweep``."""
+    """Observability flags of ``run``, ``sweep`` and ``campaign run``."""
     parser.add_argument("--metrics-interval", type=int, default=0,
                         metavar="CYCLES",
                         help="sample interval metrics every CYCLES cycles "

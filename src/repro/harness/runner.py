@@ -22,9 +22,13 @@ is exact.
 
 Fault tolerance (see :mod:`repro.harness.supervise`): a failing point is
 recorded as a :class:`~repro.harness.supervise.FailedResult` instead of
-killing the sweep; transient failures (``OSError`` family, crashed or
-hung workers) are retried with exponential backoff; each pooled point
-runs under a wall-clock watchdog deadline.  With ``keep_going`` (the
+killing the sweep; transient failures (``OSError`` family, preempted,
+crashed or hung attempts) are retried with exponential backoff; each
+pooled point runs under a wall-clock watchdog deadline.  Serial and
+pooled execution make every attempt with
+:func:`~repro.harness.supervise.attempt_point` and route its outcome
+with :func:`~repro.harness.supervise.settle_attempt`, so both retry,
+preempt and fail the same points.  With ``keep_going`` (the
 default) every healthy point still completes and a
 :class:`~repro.harness.supervise.SweepFailedError` carrying the partial
 results is raised at the end; under an active
@@ -39,9 +43,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
-from ..checks.chaos import chaos_from_env, inject_execute
 from ..sim.stats import SimResult
 from .spec import ExperimentSpec
 from .store import ResultStore, default_store
@@ -54,7 +58,9 @@ from .supervise import (
     SweepFailedError,
     SweepInterrupted,
     active_supervisor,
+    attempt_point,
     compute_timeout,
+    settle_attempt,
 )
 
 log = logging.getLogger(__name__)
@@ -67,10 +73,6 @@ USE_DEFAULT_STORE = object()
 _MEMO: Dict[ExperimentSpec, SimResult] = {}
 
 ProgressFn = Callable[["SweepStats", Optional[ExperimentSpec], str], None]
-
-#: backward-compatible alias — the pool-unavailable signal moved to
-#: ``repro.harness.supervise`` with the supervised-pool rework
-_PoolUnavailable = PoolUnavailable
 
 
 @dataclass
@@ -357,6 +359,8 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
         log.warning("sweep point failed: %s", failure.summary())
         if report:
             report(stats, failure.spec, "failed")
+        if not keep_going:
+            raise SweepFailedError(stats.failures, results)
 
     def note_retry(spec: ExperimentSpec, attempt: int, error: str) -> None:
         stats.retried += 1
@@ -365,41 +369,23 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
         elif error == CRASH_ERROR:
             stats.crashes += 1
 
+    settle = partial(settle_attempt, retry=retry, supervisor=sup,
+                     on_success=finish, on_failure=fail,
+                     on_retry=note_retry)
+
     def run_serial(todo: Sequence[ExperimentSpec]) -> None:
-        chaos = chaos_from_env()
         for spec in todo:
-            if sup is not None and sup.interrupted:
-                raise SweepInterrupted()
-            key = spec.key()
             attempt = 0
             while True:
-                start = time.monotonic()
-                try:
-                    if chaos is not None:
-                        inject_execute(chaos, key, attempt,
-                                       disruptive_ok=False)
-                    result = spec.execute()
-                except Exception as exc:
-                    duration = time.monotonic() - start
-                    transient = retry.is_transient(exc)
-                    if transient and attempt + 1 < retry.max_attempts:
-                        note_retry(spec, attempt, type(exc).__name__)
-                        if sup is not None:
-                            sup.record_incident(
-                                "retry", spec, error=type(exc).__name__,
-                                attempt=attempt)
-                        time.sleep(retry.delay(key, attempt))
-                        attempt += 1
-                        continue
-                    fail(FailedResult.from_exception(
-                        spec, exc, attempts=attempt + 1,
-                        duration=duration, permanent=not transient))
-                    if not keep_going:
-                        raise SweepFailedError(stats.failures, results)
+                if sup is not None and sup.interrupted:
+                    raise SweepInterrupted()
+                delay = settle(attempt_point(spec, attempt,
+                                             disruptive_ok=False),
+                               spec, attempt)
+                if delay is None:
                     break
-                else:
-                    finish(spec, result, time.monotonic() - start)
-                    break
+                time.sleep(delay)
+                attempt += 1
 
     try:
         if pending:
@@ -408,10 +394,9 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
                 from .turbo import shared_pool
                 try:
                     shared_pool(n_workers).run(
-                        pending, on_success=finish, on_failure=fail,
-                        on_retry=note_retry, retry=retry,
+                        pending, settle,
                         timeout_for=lambda s: compute_timeout(s, timeout),
-                        supervisor=sup, keep_going=keep_going)
+                        supervisor=sup)
                     stats.pool_used = True
                 except PoolUnavailable as exc:
                     log.warning("worker pool unavailable (%s); "
@@ -423,9 +408,6 @@ def run_many(specs: Sequence[ExperimentSpec], workers: Optional[int] = None,
                     run_serial([s for s in pending
                                 if s not in results
                                 and s not in failed_specs])
-                else:
-                    if not keep_going and stats.failures:
-                        raise SweepFailedError(stats.failures, results)
             else:
                 run_serial(pending)
     except (SweepInterrupted, KeyboardInterrupt):

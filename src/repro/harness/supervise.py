@@ -8,14 +8,18 @@ This module supplies the machinery the runner builds on:
 * :class:`FailedResult` — a failing point becomes a recorded value
   (exception type, message, traceback tail, attempt count) instead of an
   escaped exception that kills the pool.
-* :class:`RetryPolicy` — transient failures (``OSError`` family, broken
-  pools, killed workers, watchdog timeouts) are retried with exponential
-  backoff and deterministic per-point jitter; permanent failures are
-  classified immediately.
-* :func:`compute_timeout` / :func:`classify_failure` — the per-point
-  watchdog deadline and the retry-or-fail routing that the warm worker
-  pool (:class:`~repro.harness.turbo.PersistentPool`) applies to hung,
-  crashed and failing points.
+* :class:`RetryPolicy` — transient failures (the ``OSError`` family,
+  ``MemoryError``, preempted, crashed and timed-out attempts) are
+  retried with exponential backoff and deterministic per-point jitter;
+  permanent failures are classified immediately.
+* :func:`attempt_point` / :func:`settle_attempt` — one attempt of one
+  point and the routing of its outcome (success, retry, or failure).
+  The serial runner calls both in-process; the warm pool
+  (:class:`~repro.harness.turbo.PersistentPool`) runs the first in a
+  worker and settles its payload, plus the crashes and watchdog
+  timeouts it detects itself, with the second.  Both transports
+  therefore retry, preempt and fail the same points.
+* :func:`compute_timeout` — the per-point watchdog deadline.
 * :class:`SweepManifest` — a checkpoint file (atomic rename, like the
   result store) tracking done/failed/pending point keys, so
   ``python -m repro sweep --resume`` continues a killed campaign.
@@ -38,12 +42,12 @@ import logging
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..sim.stats import SimResult
-from .preempt import PREEMPT_ERROR
+from .preempt import PREEMPT_ERROR, PreemptedError, clear_preempt
 from .spec import ExperimentSpec
 
 log = logging.getLogger(__name__)
@@ -51,21 +55,6 @@ log = logging.getLogger(__name__)
 #: synthetic error names minted by the supervisor itself
 CRASH_ERROR = "WorkerCrash"
 TIMEOUT_ERROR = "WorkerTimeout"
-
-#: exception type names the retry layer treats as transient.  The OSError
-#: family covers full disks, dropped pipes, and sandbox refusals; the
-#: synthetic names cover watchdog kills and dead workers (OOM stand-ins);
-#: BrokenProcessPool is kept for payloads from legacy executors.
-#: Preemption is transient by construction: the requeued attempt resumes
-#: from the save-state (or cold-restarts if the save failed).
-TRANSIENT_ERROR_NAMES = frozenset({
-    "OSError", "IOError", "EnvironmentError", "InterruptedError",
-    "BlockingIOError", "BrokenPipeError", "ConnectionError",
-    "ConnectionAbortedError", "ConnectionRefusedError",
-    "ConnectionResetError", "TimeoutError", "MemoryError",
-    "BrokenProcessPool", CRASH_ERROR, TIMEOUT_ERROR,
-    PREEMPT_ERROR, "PreemptedError",
-})
 
 #: default per-point deadline: a generous base plus work-proportional
 #: slack (records x cores at a floor throughput no healthy point is
@@ -123,17 +112,6 @@ class FailedResult:
                    duration=data.get("duration", 0.0),
                    permanent=data.get("permanent", True))
 
-    @classmethod
-    def from_exception(cls, spec: ExperimentSpec, exc: BaseException,
-                       attempts: int, duration: float,
-                       permanent: bool) -> "FailedResult":
-        import traceback as tb_mod
-        tail = "".join(tb_mod.format_exception(
-            type(exc), exc, exc.__traceback__))[-4000:]
-        return cls(spec=spec, kind="error", error=type(exc).__name__,
-                   message=str(exc), traceback=tail, attempts=attempts,
-                   duration=duration, permanent=permanent)
-
 
 class SweepFailedError(RuntimeError):
     """Raised after a sweep finished its healthy points but some failed.
@@ -187,14 +165,6 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-
-    def is_transient_name(self, error_name: str) -> bool:
-        return error_name in TRANSIENT_ERROR_NAMES
-
-    def is_transient(self, exc: BaseException) -> bool:
-        if isinstance(exc, (OSError, ConnectionError, MemoryError)):
-            return True
-        return self.is_transient_name(type(exc).__name__)
 
     def delay(self, key: str, attempt: int) -> float:
         """Backoff before retry number ``attempt + 1`` for point ``key``.
@@ -602,43 +572,118 @@ class supervised_sweep:
 
 
 # ----------------------------------------------------------------------
-# Failure classification
+# One attempt, one settlement (shared by the serial and pooled paths)
 # ----------------------------------------------------------------------
-def classify_failure(retry: RetryPolicy,
-                     supervisor: Optional[SweepSupervisor],
-                     spec: ExperimentSpec, attempt: int, kind: str,
-                     error: str, message: str, traceback: str,
-                     duration: float, requeue: Callable[[], None],
-                     fail: Callable[[FailedResult], None],
-                     worker: Optional[int] = None,
-                     ckpt: Optional[Dict[str, Any]] = None) -> None:
-    """Route one bad point: transient -> ``requeue``, else ``fail``.
+def failure_payload(kind: str, error: str, message: str,
+                    duration: float = 0.0, transient: bool = True,
+                    traceback: str = "") -> Dict[str, Any]:
+    """The payload of a failed attempt.  ``kind`` is ``error``,
+    ``preempted``, ``crash`` or ``timeout``; the last three are transient
+    by their kind, an ``error`` is transient only for the ``OSError``
+    family and ``MemoryError``."""
+    return {"ok": False, "kind": kind, "error": error, "message": message,
+            "traceback": traceback, "transient": transient,
+            "duration": duration}
 
-    The warm pool (:mod:`repro.harness.turbo`) calls this for every bad
-    point.  ``worker`` (a pid) attributes timeout and
-    crash incidents to the specific worker process that served the point.
-    ``ckpt`` (``{"path", "events"}``) rides along for ``preempted``
-    points: the incident names the save-state and the manifest records
-    the checkpoint lineage, so the requeued attempt's restore is
+
+def attempt_point(spec: ExperimentSpec, attempt: int,
+                  disruptive_ok: bool) -> Dict[str, Any]:
+    """Run attempt number ``attempt`` of ``spec`` in this process.
+
+    Clears the preempt latch before and after (a request left over from
+    an earlier point must not stop this one or a later run), injects
+    chaos, and runs :meth:`ExperimentSpec.execute`.  Never raises an
+    ``Exception``: the outcome is a payload, ``{"ok": True, "result":
+    SimResult}`` or a :func:`failure_payload` (with ``ckpt`` for a
+    preempted run), plus ``duration`` and the execute ``notes``
+    (``resumed`` / ``quarantined``).  A pool worker calls this with
+    ``disruptive_ok=True``, since chaos may hang or kill its sacrificial
+    process; the serial runner passes ``False``.
+    """
+    from ..checks.chaos import chaos_from_env, inject_execute
+    start = time.monotonic()
+    notes: Dict[str, Any] = {}
+    clear_preempt()
+    try:
+        chaos = chaos_from_env()
+        if chaos is not None:
+            inject_execute(chaos, spec.key(), attempt,
+                           disruptive_ok=disruptive_ok)
+        payload: Dict[str, Any] = {"ok": True,
+                                   "result": spec.execute(notes=notes)}
+    except PreemptedError as exc:
+        payload = failure_payload("preempted", PREEMPT_ERROR, str(exc))
+        payload["ckpt"] = {"path": exc.path, "events": exc.events}
+    except Exception as exc:
+        import traceback as tb_mod
+        payload = failure_payload(
+            "error", type(exc).__name__, str(exc),
+            transient=isinstance(exc, (OSError, MemoryError)),
+            traceback=tb_mod.format_exc()[-4000:])
+    finally:
+        clear_preempt()   # an unconsumed request ends with its attempt
+    payload["duration"] = time.monotonic() - start
+    if notes:
+        payload["notes"] = notes
+    return payload
+
+
+def settle_attempt(payload: Dict[str, Any], spec: ExperimentSpec,
+                   attempt: int, *, retry: RetryPolicy,
+                   supervisor: Optional[SweepSupervisor],
+                   on_success: Callable[[ExperimentSpec, SimResult, float],
+                                        None],
+                   on_failure: Callable[[FailedResult], None],
+                   on_retry: Callable[[ExperimentSpec, int, str], None],
+                   worker: Optional[int] = None) -> Optional[float]:
+    """Route one attempt's outcome; returns the backoff before the next
+    attempt when the point is requeued, else ``None``.
+
+    Execute notes become ``resumed`` / ``ckpt-quarantined`` incidents;
+    success goes to ``on_success``; a transient failure with attempts
+    left calls ``on_retry`` and logs a ``retry`` incident; anything else
+    becomes a :class:`FailedResult` for ``on_failure``.  ``preempted``,
+    ``timeout`` and ``crash`` outcomes also log an incident of their
+    kind (attributed to ``worker``, a pid, when pooled), and a preempt
+    records its save-state in the manifest so the resumed attempt is
     auditable.
     """
-    transient = retry.is_transient_name(error)
-    if supervisor is not None and kind in ("timeout", "crash", "preempted"):
+    notes = payload.get("notes") or {}
+    if supervisor is not None:
+        if "resumed" in notes:
+            supervisor.record_incident("resumed", spec,
+                                       events=notes["resumed"])
+        if "quarantined" in notes:
+            supervisor.record_incident("ckpt-quarantined", spec,
+                                       reason=notes["quarantined"])
+    if payload["ok"]:
+        on_success(spec, payload["result"], payload["duration"])
+        return None
+    kind, error = payload["kind"], payload["error"]
+    if supervisor is not None and kind != "error":
         extra: Dict[str, Any] = {} if worker is None else {"worker": worker}
+        ckpt = payload.get("ckpt")
         if ckpt:
-            extra["ckpt"] = ckpt.get("path")
-            extra["events"] = ckpt.get("events")
+            extra["ckpt"] = ckpt["path"]
+            extra["events"] = ckpt["events"]
         supervisor.record_incident(kind, spec, error=error, attempt=attempt,
                                    **extra)
-    if kind == "preempted" and supervisor is not None \
-            and supervisor.manifest is not None:
-        supervisor.manifest.mark_preempted(spec, (ckpt or {}).get("path"))
+        if kind == "preempted" and supervisor.manifest is not None:
+            supervisor.manifest.mark_preempted(spec, (ckpt or {}).get("path"))
+    transient = payload["transient"]
     if transient and attempt + 1 < retry.max_attempts:
-        requeue()
-        return
-    fail(FailedResult(spec=spec, kind=kind, error=error, message=message,
-                      traceback=traceback, attempts=attempt + 1,
-                      duration=duration, permanent=not transient))
+        on_retry(spec, attempt, error)
+        if supervisor is not None:
+            supervisor.record_incident("retry", spec, error=error,
+                                       attempt=attempt)
+        return retry.delay(spec.key(), attempt)
+    on_failure(FailedResult(spec=spec, kind=kind, error=error,
+                            message=payload["message"],
+                            traceback=payload["traceback"],
+                            attempts=attempt + 1,
+                            duration=payload["duration"],
+                            permanent=not transient))
+    return None
 
 
 # ----------------------------------------------------------------------

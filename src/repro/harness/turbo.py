@@ -7,8 +7,11 @@ workers that fork once with imports hot and serve tasks over pipes;
 with the content-addressed :class:`~repro.workloads.tracecache.TraceCache`
 beside it, a warm point pays for simulation only.
 
-Supervision: every bad point routes through
-:func:`~repro.harness.supervise.classify_failure`, the watchdog kills a
+Supervision: a worker runs each task through
+:func:`~repro.harness.supervise.attempt_point`, the same attempt the
+serial runner makes in-process, and every payload (plus every crash
+and watchdog timeout the pool detects) is settled by the caller's
+:func:`~repro.harness.supervise.settle_attempt`.  The watchdog kills a
 hung *worker* (not the pool) and the pool respawns it, crashes are
 attributed by exit code and pid, chaos disruptive faults stay
 worker-only, and SIGINT/manifest behavior lives in the caller
@@ -36,12 +39,11 @@ from .spec import ExperimentSpec
 from .supervise import (
     CRASH_ERROR,
     TIMEOUT_ERROR,
-    FailedResult,
     PoolUnavailable,
-    RetryPolicy,
     SweepInterrupted,
     SweepSupervisor,
-    classify_failure,
+    attempt_point,
+    failure_payload,
 )
 
 log = logging.getLogger(__name__)
@@ -70,42 +72,33 @@ def _apply_env(env: Dict[str, str]) -> None:
 # Worker side
 # ----------------------------------------------------------------------
 def _execute_task(msg: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one task message; report failures as payloads, never raise."""
+    """Run one task message as :func:`~repro.harness.supervise.attempt_point`
+    and return a picklable payload; never raises.
+
+    Only what belongs to a worker process lives here: applying the
+    shipped env snapshot, trading SIGTERM for a clean preempt while a
+    checkpointed task runs, and reporting even a ``BaseException``.
+    """
     start = time.monotonic()
-    notes: Dict[str, Any] = {}
     previous_term = None
     try:
-        from ..checks.chaos import chaos_from_env, inject_execute
         _apply_env(msg.get("env", {}))
-        preempt.clear_preempt()   # a late signal for a previous task
         if preempt.checkpoint_from_env() is not None:
-            # Only checkpointed tasks trade SIGTERM for a clean preempt;
-            # the handler is restored below so an *idle* warm worker
+            # The handler is restored below so an *idle* warm worker
             # keeps default teardown (terminate() stays instant).
             previous_term = preempt.install_preempt_handler()
-        spec = ExperimentSpec.from_dict(msg["spec"])
-        chaos = chaos_from_env()
-        if chaos is not None:
-            inject_execute(chaos, spec.key(), msg.get("attempt", 0),
-                           disruptive_ok=True)
-        result = spec.execute(notes=notes)
-        payload: Dict[str, Any] = {"ok": True, "result": result.to_dict(),
-                                   "duration": time.monotonic() - start}
-    except preempt.PreemptedError as exc:
-        payload = {"ok": False, "preempted": True, "error": PREEMPT_ERROR,
-                   "message": str(exc),
-                   "ckpt": {"path": exc.path, "events": exc.events},
-                   "duration": time.monotonic() - start}
+        payload = attempt_point(ExperimentSpec.from_dict(msg["spec"]),
+                                msg.get("attempt", 0), disruptive_ok=True)
+        if payload["ok"]:
+            payload["result"] = payload["result"].to_dict()
     except BaseException as exc:   # report absolutely everything
         import traceback as tb_mod
-        payload = {"ok": False, "error": type(exc).__name__,
-                   "message": str(exc),
-                   "traceback": tb_mod.format_exc()[-4000:],
-                   "duration": time.monotonic() - start}
+        payload = failure_payload(
+            "error", type(exc).__name__, str(exc),
+            time.monotonic() - start, transient=False,
+            traceback=tb_mod.format_exc()[-4000:])
     finally:
         preempt.restore_preempt_handler(previous_term)
-    if notes:
-        payload["notes"] = notes
     return payload
 
 
@@ -138,7 +131,7 @@ def _persistent_worker(conn: Any) -> None:
             conn.send(payload)
         except (BrokenPipeError, OSError):   # parent gave up on us
             break
-        if payload.get("preempted"):
+        if payload.get("kind") == "preempted":
             # A preempt is a wind-down request (watchdog, resource
             # guard, or operator signal): exit so the parent respawns a
             # fresh worker rather than reusing this one.
@@ -155,14 +148,12 @@ def _persistent_worker(conn: Any) -> None:
 class _PoolWorker:
     """One warm worker process, busy or idle."""
 
-    __slots__ = ("proc", "conn", "spec", "key", "attempt", "started",
-                 "deadline")
+    __slots__ = ("proc", "conn", "spec", "attempt", "started", "deadline")
 
     def __init__(self, proc: Any, conn: Any) -> None:
         self.proc = proc
         self.conn = conn
         self.spec: Optional[ExperimentSpec] = None
-        self.key = ""
         self.attempt = 0
         self.started = 0.0
         self.deadline: Optional[float] = None
@@ -174,14 +165,12 @@ class _PoolWorker:
     def assign(self, spec: ExperimentSpec, attempt: int, started: float,
                deadline: Optional[float]) -> None:
         self.spec = spec
-        self.key = spec.key()
         self.attempt = attempt
         self.started = started
         self.deadline = deadline
 
     def clear(self) -> None:
         self.spec = None
-        self.key = ""
         self.attempt = 0
         self.started = 0.0
         self.deadline = None
@@ -282,21 +271,20 @@ class PersistentPool:
 
     # -- execution ------------------------------------------------------
     def run(self, specs: Sequence[ExperimentSpec],
-            on_success: Callable[[ExperimentSpec, SimResult, float], None],
-            on_failure: Callable[[FailedResult], None],
-            on_retry: Optional[Callable[[ExperimentSpec, int, str], None]]
-            = None, *,
-            retry: RetryPolicy,
+            settle: Callable[..., Optional[float]], *,
             timeout_for: Callable[[ExperimentSpec], Optional[float]],
-            supervisor: Optional[SweepSupervisor] = None,
-            keep_going: bool = True) -> None:
+            supervisor: Optional[SweepSupervisor] = None) -> None:
         """Resolve every spec on the warm pool.
 
-        Raises :class:`PoolUnavailable` when no worker can be forked
-        (the runner falls back to serial) and :class:`SweepInterrupted`
-        on a supervised signal.  On any exception, busy workers are
-        killed (their tasks are abandoned) but idle warm workers
-        survive for the next call.
+        ``settle(payload, spec, attempt, worker=pid)`` is
+        :func:`~repro.harness.supervise.settle_attempt` bound to the
+        caller's sinks; it returns the backoff before a retry, which
+        requeues the point.  Raises :class:`PoolUnavailable` when no
+        worker can be forked (the runner falls back to serial) and
+        :class:`SweepInterrupted` on a supervised signal.  On any
+        exception, including one raised by ``settle``, busy workers are
+        killed (their tasks are abandoned) but idle warm workers survive
+        for the next call.
         """
         self.ensure_started()
         mp_wait = self._mp_wait
@@ -305,7 +293,6 @@ class PersistentPool:
         # (spec, attempt, not-before) — retries wait out their backoff
         queue: List[Tuple[ExperimentSpec, int, float]] = [
             (spec, 0, 0.0) for spec in specs]
-        aborted = False
         guards = preempt.guards_from_env()
         guard_next = 0.0
 
@@ -323,31 +310,11 @@ class PersistentPool:
                           None if timeout is None else now + timeout)
             return True
 
-        def requeue(spec: ExperimentSpec, key: str, attempt: int,
-                    error: str) -> None:
-            if on_retry is not None:
-                on_retry(spec, attempt, error)
-            if supervisor is not None:
-                supervisor.record_incident("retry", spec, error=error,
-                                           attempt=attempt)
-            delay = retry.delay(key, attempt)
-            queue.append((spec, attempt + 1, time.monotonic() + delay))
-
-        def fail(failure: FailedResult) -> None:
-            nonlocal aborted
-            on_failure(failure)
-            if not keep_going:
-                aborted = True
-
-        def classify(spec: ExperimentSpec, key: str, attempt: int,
-                     kind: str, error: str, message: str, traceback: str,
-                     duration: float, pid: Optional[int],
-                     ckpt: Optional[Dict[str, Any]] = None) -> None:
-            classify_failure(
-                retry, supervisor, spec, attempt, kind, error, message,
-                traceback, duration,
-                lambda: requeue(spec, key, attempt, error), fail,
-                worker=pid, ckpt=ckpt)
+        def settle_task(spec: ExperimentSpec, attempt: int,
+                        payload: Dict[str, Any], pid: int) -> None:
+            delay = settle(payload, spec, attempt, worker=pid)
+            if delay is not None:
+                queue.append((spec, attempt + 1, time.monotonic() + delay))
 
         def reap(worker: _PoolWorker, payload: Any = _UNRECEIVED) -> None:
             """A busy worker's pipe is readable: payload or EOF.
@@ -361,40 +328,23 @@ class PersistentPool:
                     payload = worker.conn.recv()
                 except (EOFError, OSError):
                     payload = None
-            spec, key, attempt = worker.spec, worker.key, worker.attempt
-            started = worker.started
-            pid = worker.proc.pid
+            spec, attempt = worker.spec, worker.attempt
             assert spec is not None
-            if payload is not None and supervisor is not None:
-                notes = payload.get("notes") or {}
-                if "resumed" in notes:
-                    supervisor.record_incident("resumed", spec,
-                                               events=notes["resumed"])
-                if "quarantined" in notes:
-                    supervisor.record_incident(
-                        "ckpt-quarantined", spec,
-                        reason=notes["quarantined"])
+            pid = worker.proc.pid
             if payload is None:      # worker died mid-task
                 self._discard(worker)
-                code = worker.proc.exitcode
-                classify(spec, key, attempt, "crash", CRASH_ERROR,
-                         f"worker exited with code {code}", "",
-                         time.monotonic() - started, pid)
-            elif payload.get("ok"):
+                payload = failure_payload(
+                    "crash", CRASH_ERROR,
+                    f"worker exited with code {worker.proc.exitcode}",
+                    time.monotonic() - worker.started)
+            elif payload["ok"]:
                 worker.clear()       # stays warm for the next task
-                on_success(spec, SimResult.from_dict(payload["result"]),
-                           payload["duration"])
-            elif payload.get("preempted"):
+                payload["result"] = SimResult.from_dict(payload["result"])
+            elif payload["kind"] == "preempted":
                 self._discard(worker)   # the worker exits after a preempt
-                classify(spec, key, attempt, "preempted", payload["error"],
-                         payload["message"], "",
-                         payload.get("duration", 0.0), pid,
-                         ckpt=payload.get("ckpt"))
             else:
                 worker.clear()
-                classify(spec, key, attempt, "error", payload["error"],
-                         payload["message"], payload.get("traceback", ""),
-                         payload.get("duration", 0.0), pid)
+            settle_task(spec, attempt, payload, pid)
 
         def try_preempt_worker(worker: _PoolWorker) -> bool:
             """Checkpoint-first alternative to the watchdog kill."""
@@ -411,10 +361,6 @@ class PersistentPool:
                 if supervisor is not None and supervisor.interrupted:
                     self._kill_busy()
                     raise SweepInterrupted()
-                if aborted:
-                    self._kill_busy()
-                    queue.clear()
-                    break
                 if queue:
                     # Workers lost to crashes/timeouts are replaced while
                     # work remains; an empty pool aborts to serial.
@@ -454,16 +400,15 @@ class PersistentPool:
                     # its save-state instead of repeating all its work.
                     if try_preempt_worker(worker):
                         continue
-                    spec, key, attempt = (worker.spec, worker.key,
-                                          worker.attempt)
+                    spec, attempt = worker.spec, worker.attempt
                     started, deadline = worker.started, worker.deadline
                     pid = worker.proc.pid
                     self._discard(worker)   # the watchdog kill
                     assert spec is not None and deadline is not None
-                    classify(spec, key, attempt, "timeout", TIMEOUT_ERROR,
-                             f"point exceeded its "
-                             f"{deadline - started:.0f}s deadline",
-                             "", now - started, pid)
+                    settle_task(spec, attempt, failure_payload(
+                        "timeout", TIMEOUT_ERROR,
+                        f"point exceeded its {deadline - started:.0f}s "
+                        f"deadline", now - started), pid)
                 if guards.enabled and now >= guard_next:
                     guard_next = now + 1.0
                     ckpt_cfg = preempt.checkpoint_from_env()
@@ -473,8 +418,7 @@ class PersistentPool:
                             guards, worker.proc.pid, disk_path)
                         if breach is None:
                             continue
-                        spec, key, attempt = (worker.spec, worker.key,
-                                              worker.attempt)
+                        spec, attempt = worker.spec, worker.attempt
                         started, pid = worker.started, worker.proc.pid
                         assert spec is not None
                         if supervisor is not None:
@@ -483,9 +427,9 @@ class PersistentPool:
                         if try_preempt_worker(worker):
                             continue
                         self._discard(worker)
-                        classify(spec, key, attempt, "preempted",
-                                 PREEMPT_ERROR, breach, "",
-                                 now - started, pid)
+                        settle_task(spec, attempt, failure_payload(
+                            "preempted", PREEMPT_ERROR, breach,
+                            now - started), pid)
         except BaseException:
             self._kill_busy()
             raise

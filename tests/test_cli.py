@@ -300,6 +300,67 @@ def test_run_command_reports_failures(sweep_env, tmp_path, capsys):
     assert "ChaosError" in captured.err
 
 
+def test_supervised_messages_name_their_command(sweep_env, tmp_path, capsys):
+    obs_dir = tmp_path / "obs"
+    assert main(["run", "462.libquantum", "--policies", "lru",
+                 "--records", "600", "--no-store", "--json",
+                 "--obs-dir", str(obs_dir),
+                 "--chaos", "raise:0:1/1", "--retries", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"[run] 1 incident(s) -> {obs_dir}" in err
+    assert "[sweep]" not in err
+
+
+def test_run_interrupted_writes_incident_artifact(sweep_env, tmp_path,
+                                                  capsys, monkeypatch):
+    import os
+    import signal
+
+    import repro.harness
+    real_run_many = repro.harness.run_many
+
+    def interrupted_run_many(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGINT)   # the supervisor's handler
+        return real_run_many(*args, **kwargs)
+
+    monkeypatch.setattr(repro.harness, "run_many", interrupted_run_many)
+    obs_dir = tmp_path / "obs"
+    assert main(["run", "462.libquantum", "--policies", "lru",
+                 "--records", "600", "--no-store",
+                 "--obs-dir", str(obs_dir)]) == 130
+    assert "[run] interrupted" in capsys.readouterr().err
+    artifact = obs_dir / "run-462.libquantum.incidents.json"
+    events = json.loads(artifact.read_text())["events"]
+    assert [e["event"] for e in events] == ["interrupt"]
+
+
+def test_campaign_run_honours_observability_flags(sweep_env, tmp_path,
+                                                  capsys):
+    import os
+
+    from repro.harness.campaign import CAMPAIGN_SCHEMA
+    spec_file = tmp_path / "tiny.json"
+    spec_file.write_text(json.dumps({
+        "schema": CAMPAIGN_SCHEMA, "name": "tiny",
+        "defaults": {"records": 200, "preset": "tiny"},
+        "grids": [{"id": "g1", "suite": "spec", "workloads": ["429.mcf"],
+                   "policies": ["lru"], "cores": [1]}]}))
+    obs_dir = tmp_path / "obs"
+    try:
+        assert main(["campaign", "run", str(spec_file), "--quiet",
+                     "--manifest", str(tmp_path / "tiny.manifest.json"),
+                     "--obs-dir", str(obs_dir), "--metrics-interval", "500",
+                     "--trace", "--trace-sample", "8"]) == 0
+    finally:
+        for var in ("REPRO_METRICS_INTERVAL", "REPRO_TRACE",
+                    "REPRO_TRACE_SAMPLE", "REPRO_OBS_DIR"):
+            os.environ.pop(var, None)
+    err = capsys.readouterr().err
+    assert "[campaign] observability on: store-cached points" in err
+    assert list(obs_dir.rglob("*.metrics.json"))
+    assert list(obs_dir.rglob("*.trace.json"))
+
+
 def test_supervise_flag_validation(capsys):
     assert main(["sweep", "fig07", "--chaos", "explode:1"]) == 2
     assert "unknown chaos fault" in capsys.readouterr().err

@@ -2,7 +2,6 @@
 fallback, chaos preempt equivalence on every execution path, manifest
 lineage + persistence strikes, and resource guards."""
 
-import json
 import os
 import signal
 
@@ -258,6 +257,70 @@ def test_ckpt_corrupt_chaos_degrades_to_cold_restart(tmp_path, monkeypatch):
     assert [r.to_json() for r in results] == [r.to_json() for r in clean]
     quarantined = list(root.rglob("quarantine/*"))
     assert quarantined                        # the torn states moved aside
+
+
+# ----------------------------------------------------------------------
+# Serial and pooled sweeps settle the same outcomes
+# ----------------------------------------------------------------------
+def supervised_outcome(specs, workers, tmp_path, monkeypatch, name,
+                       max_attempts=3):
+    """Retried/failed counts, incident event counts and manifest
+    preempts of one supervised sweep (fresh save-state dir per run)."""
+    from collections import Counter
+
+    from repro.obs.incidents import IncidentLog
+    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path / f"ckpt-{name}"))
+    clear_memo()
+    incidents = IncidentLog(tag=name)
+    manifest = SweepManifest(tmp_path / f"{name}.manifest.json")
+    stats = SweepStats()
+    retry = RetryPolicy(max_attempts=max_attempts, backoff=0.01)
+    with supervised_sweep(retry=retry, manifest=manifest,
+                          incidents=incidents):
+        run_many(specs, workers=workers, store=None, stats_out=stats)
+    events = Counter(e["event"] for e in incidents.events)
+    preempts = sum(e.get("preempts", 0) for e in manifest.points.values())
+    return {"retried": stats.retried, "failed": stats.failed,
+            "events": dict(events), "preempts": preempts}
+
+
+def test_serial_and_pool_record_the_same_preempt_lineage(
+        tmp_path, monkeypatch, pool):
+    """Every point is preempted once: both transports log
+    preempted/retry/resumed incidents and count the preempt in the
+    manifest."""
+    specs = specs_for(WORKLOADS[:2], n_records=2000)
+    monkeypatch.setenv("REPRO_CKPT_EVENTS", "2000")
+    monkeypatch.setenv("REPRO_CHAOS", "preempt:7:1/1")
+    serial = supervised_outcome(specs, 1, tmp_path, monkeypatch, "serial")
+    pooled = supervised_outcome(specs, 2, tmp_path, monkeypatch, "pool")
+    assert pooled == {"retried": 2, "failed": 0, "preempts": 2,
+                      "events": {"preempted": 2, "retry": 2,
+                                 "resumed": 2}}
+    assert serial == pooled
+
+
+def test_stale_preempt_latch_does_not_leak_into_the_next_point(
+        tmp_path, monkeypatch, pool):
+    """A selected point that finishes before its first checkpoint tick
+    leaves the latch set; neither the next, unselected point (on either
+    transport) nor a later run in the process may be preempted by it."""
+    from repro.checks.chaos import parse_chaos, should_inject
+    monkeypatch.setenv("REPRO_CKPT_EVENTS", "2000")
+    monkeypatch.setenv("REPRO_CHAOS", "preempt:3:1/2")
+    short = ExperimentSpec.single("462.libquantum", "lru", n_records=50)
+    long = ExperimentSpec.single("470.lbm", "lru", n_records=2000)
+    cfg = parse_chaos("preempt:3:1/2")
+    assert should_inject(cfg, "preempt", short.key())
+    assert not should_inject(cfg, "preempt", long.key())
+    serial = supervised_outcome([short, long], 1, tmp_path, monkeypatch,
+                                "serial", max_attempts=1)
+    assert not preempt.preempt_requested()    # nor into a later run
+    pooled = supervised_outcome([short, long], 2, tmp_path, monkeypatch,
+                                "pool", max_attempts=1)
+    assert pooled == {"retried": 0, "failed": 0, "events": {},
+                      "preempts": 0}
+    assert serial == pooled
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import signal
 
 import pytest
 
+from repro.checks.chaos import ChaosError
 from repro.harness import ExperimentSpec, ResultStore, run_many
 from repro.harness.runner import SweepStats, clear_memo
 from repro.harness.store import reset_default_store, set_default_store
@@ -14,7 +15,8 @@ from repro.harness.supervise import (CRASH_ERROR, TIMEOUT_ERROR,
                                      FailedResult, RetryPolicy,
                                      SweepFailedError, SweepInterrupted,
                                      SweepManifest, active_supervisor,
-                                     compute_timeout, format_failure_table,
+                                     attempt_point, compute_timeout,
+                                     failure_payload, format_failure_table,
                                      supervised_sweep)
 
 WORKLOADS = ["429.mcf", "462.libquantum", "470.lbm"]
@@ -56,27 +58,37 @@ def a_failure(spec, kind="error", error="ValueError", permanent=True):
 # ----------------------------------------------------------------------
 def test_failed_result_roundtrip():
     spec = specs_for(WORKLOADS[:1])[0]
-    try:
-        raise ValueError("boom")
-    except ValueError as exc:
-        failure = FailedResult.from_exception(spec, exc, attempts=2,
-                                              duration=0.5, permanent=True)
-    assert failure.error == "ValueError" and failure.kind == "error"
-    assert "boom" in failure.message and "ValueError" in failure.traceback
+    failure = FailedResult(spec=spec, kind="error", error="ValueError",
+                           message="boom", traceback="ValueError: boom",
+                           attempts=2, duration=0.5, permanent=True)
     clone = FailedResult.from_dict(failure.to_dict())
-    assert clone.spec == spec and clone.attempts == 2
+    assert clone == failure
     assert "2 attempt(s)" in failure.summary()
 
 
-def test_retry_policy_classification():
-    policy = RetryPolicy()
-    assert policy.is_transient(OSError("disk full"))
-    assert policy.is_transient(MemoryError())
-    assert policy.is_transient_name("BrokenProcessPool")
-    assert policy.is_transient_name(CRASH_ERROR)
-    assert policy.is_transient_name(TIMEOUT_ERROR)
-    assert not policy.is_transient(ValueError("bad input"))
-    assert not policy.is_transient_name("ChaosError")
+def test_retry_policy_classification(monkeypatch):
+    """An attempt is transient exactly for the OSError family and
+    MemoryError, subclasses included; crash, timeout and preempt
+    payloads are transient by their kind."""
+    spec = specs_for(WORKLOADS[:1])[0]
+    cases = [(OSError("disk full"), True),
+             (PermissionError("sandbox refused"), True),
+             (FileNotFoundError("gone"), True),
+             (ConnectionResetError("peer reset"), True),
+             (MemoryError(), True),
+             (ValueError("bad input"), False),
+             (ChaosError("injected"), False)]
+    for exc, transient in cases:
+        def raiser(self, exc=exc, **_kw):
+            raise exc
+        monkeypatch.setattr(ExperimentSpec, "execute", raiser)
+        payload = attempt_point(spec, 0, disruptive_ok=False)
+        assert payload["ok"] is False and payload["kind"] == "error"
+        assert payload["error"] == type(exc).__name__
+        assert payload["transient"] is transient, exc
+    for kind, error in (("crash", CRASH_ERROR), ("timeout", TIMEOUT_ERROR),
+                        ("preempted", "WorkerPreempted")):
+        assert failure_payload(kind, error, "")["transient"]
 
 
 def test_retry_policy_delay_is_deterministic_and_bounded():
@@ -277,3 +289,35 @@ def test_pool_results_match_serial_under_chaos(isolated, pool, monkeypatch):
     serial = run_many(specs, workers=1, store=None)
     assert [r.to_json() for r in via_pool] == \
         [r.to_json() for r in serial]
+
+
+def test_pool_retries_oserror_subclasses(isolated, tmp_path, monkeypatch):
+    """A pooled point whose first attempt raises PermissionError (an
+    OSError subclass) is retried and then succeeds, as it is serially."""
+    from repro.harness.turbo import shutdown_shared_pool
+    shutdown_shared_pool()          # workers must fork with the patch
+    real_execute = ExperimentSpec.execute
+    marks = tmp_path / "first-attempts"
+    marks.mkdir()
+
+    def refuse_once(self, **kwargs):
+        mark = marks / self.key()
+        if not mark.exists():       # shared across worker processes
+            mark.touch()
+            raise PermissionError("sandbox refused the first attempt")
+        return real_execute(self, **kwargs)
+
+    monkeypatch.setattr(ExperimentSpec, "execute", refuse_once)
+    specs = specs_for(WORKLOADS[:2])
+    stats = SweepStats()
+    try:
+        results = run_many(specs, workers=2, store=None, stats_out=stats,
+                           retry=RetryPolicy(max_attempts=3, backoff=0.01))
+    finally:
+        shutdown_shared_pool()
+    assert stats.pool_used
+    assert stats.retried == len(specs) and stats.failed == 0
+    monkeypatch.setattr(ExperimentSpec, "execute", real_execute)
+    clear_memo()
+    clean = run_many(specs, workers=1, store=None)
+    assert [r.to_json() for r in results] == [r.to_json() for r in clean]
