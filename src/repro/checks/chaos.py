@@ -32,8 +32,9 @@ Faults (``all`` = every one of them):
     OOM-killer stand-in; the supervisor must classify the crash as
     transient and retry.
 ``corrupt``
-    Result-store writes for selected points are truncated after the
-    atomic rename — ``fsck`` / hardened ``get`` must quarantine them.
+    Result-store and trace-cache writes for selected points are
+    truncated after the atomic rename — ``fsck`` / hardened ``get`` must
+    quarantine them.
 ``preempt``
     A preempt request is latched before the first attempt — the
     checkpoint policy must save state and stop cleanly, and the retry
@@ -192,19 +193,24 @@ def inject_execute(cfg: ChaosConfig, key: str, attempt: int,
         raise ChaosError(f"chaos: injected permanent fault for {key[:12]}")
 
 
-def corrupt_entry(cfg: ChaosConfig, key: str, path: "os.PathLike[str]") -> bool:
-    """Truncate a freshly written store entry if ``key`` is selected.
+def corrupt_entry(cfg: ChaosConfig, key: str, path: "os.PathLike[str]",
+                  fault: str = "corrupt") -> bool:
+    """Truncate a freshly written file if ``fault`` selects ``key``.
 
-    Returns True when the entry was corrupted.  Truncation to half the
-    payload guarantees a JSON parse error, which is exactly what a
-    process killed mid-write (pre-atomic-rename filesystems, torn NFS
-    writes) leaves behind.
+    The on-disk families call this after every atomic write: store and
+    trace-cache entries with ``corrupt``, save-states with
+    ``ckpt-corrupt``.  Returns True when the file was corrupted.
+    Truncation to half the payload guarantees a decode error, which is
+    exactly what a process killed mid-write (pre-atomic-rename
+    filesystems, torn NFS writes) leaves behind.
     """
-    if not should_inject(cfg, "corrupt", key):
+    if not should_inject(cfg, fault, key):
         return False
-    data = b""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    with open(path, "wb") as handle:
-        handle.write(data[:max(1, len(data) // 2)])
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[:max(1, len(data) // 2)])
+    except OSError:
+        return False
     return True

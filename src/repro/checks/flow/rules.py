@@ -162,8 +162,9 @@ TAINT_SANITIZERS: FrozenSet[str] = frozenset({
     "repro.obs.schema.obs_from_env",
     # deterministic chaos injection (seeded, test-only)
     "repro.checks.chaos.chaos_from_env",
-    # content-addressed trace cache: served bytes equal generated bytes
-    "repro.workloads.tracecache.default_trace_cache",
+    # env-keyed defaults of the content-addressed trace cache and result
+    # store (repro.casdir): served bytes equal generated bytes
+    "repro.casdir.EnvDefault.current",
     # checkpoint/preempt plumbing: restore-then-run is byte-identical to
     # an uninterrupted run (golden-enforced), so where a save-state lands
     # or whether one exists cannot change a SimResult
@@ -193,8 +194,9 @@ WORKER_ENV_API: FrozenSet[str] = frozenset({
     "repro.checks.sanitize.sanitizer.sanitize_enabled",
     "repro.checks.sanitize.sanitizer.sanitize_interval",
     "repro.obs.schema.obs_from_env",
-    "repro.workloads.tracecache.default_trace_cache",
-    "repro.harness.store.default_store",
+    # the trace cache and result store defaults re-resolve whenever
+    # their env var changes (repro.casdir)
+    "repro.casdir.EnvDefault.current",
     # checkpoint/preempt config re-resolves per task from the shipped
     # REPRO_CKPT_* / guard vars (repro.harness.preempt)
     "repro.harness.preempt.checkpoint_from_env",

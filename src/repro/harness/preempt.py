@@ -17,11 +17,11 @@ files, environment, wall clocks, signals, and processes:
   install the handler while executing a checkpointed task; idle
   persistent workers keep ``SIG_DFL`` so pool teardown stays instant.
 * :func:`save_state` / :func:`try_restore` / :func:`clear_state` —
-  atomic (tempfile + rename) save-state I/O under a content-addressed
-  ``<dir>/<key[:2]>/<key>.ckpt.gz`` layout.  A stale or corrupt state is
-  quarantined (numbered suffix, mirroring the result store) and the
-  caller cold-starts: a bad save-state may cost time, never a wrong
-  answer.
+  save-state I/O under a content-addressed
+  ``<dir>/<key[:2]>/<key>.ckpt.gz`` layout, written and quarantined the
+  :mod:`repro.casdir` way (quarantine is ``quarantine/`` beside the
+  state).  A stale or corrupt state is quarantined and the caller
+  cold-starts: a bad save-state may cost time, never a wrong answer.
 * :func:`try_preempt` — the parent-side half of the protocol: SIGTERM a
   worker and wait a grace period for its final payload (which may be a
   preempted report *or* a normal result racing the signal) before the
@@ -49,11 +49,12 @@ from __future__ import annotations
 import logging
 import os
 import signal
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
+
+from ..casdir import atomic_write, chaos_tear, quarantine
 
 log = logging.getLogger(__name__)
 
@@ -211,7 +212,7 @@ def preempt_grace(env: Optional[Dict[str, str]] = None) -> float:
 
 
 def state_path(root: Union[str, Path], key: str) -> Path:
-    """Content-addressed save-state location (mirrors the result store)."""
+    """Content-addressed save-state location."""
     return Path(root) / key[:2] / f"{key}.ckpt.gz"
 
 
@@ -308,69 +309,23 @@ def save_state(policy: CheckpointPolicy) -> Optional[str]:
 
     Returns the path, or ``None`` when the write failed — checkpointing
     is an availability feature, so I/O trouble degrades to "no state"
-    (logged) rather than killing a healthy simulation.
+    (logged) rather than killing a healthy simulation.  Chaos
+    ``ckpt-corrupt`` then truncates selected states (every attempt, like
+    the store's ``corrupt``): resume must quarantine the torn file and
+    cold-start, converging to correct results regardless.
     """
     from ..sim.savestate import encode_savestate
     blob = encode_savestate(policy.system, spec_key=policy.spec_key,
                             fingerprint=policy.fingerprint)
     path = Path(policy.path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, blob)
     except OSError as exc:
         log.warning("save-state write failed for %s: %s", path, exc)
         return None
     policy.saves += 1
-    _maybe_chaos_corrupt(policy.spec_key, path)
+    chaos_tear(path, policy.spec_key, "ckpt-corrupt")
     return str(path)
-
-
-def _maybe_chaos_corrupt(key: str, path: Path) -> bool:
-    """Chaos ``ckpt-corrupt``: truncate the state we just wrote.
-
-    Fires on every attempt for selected points (like the store's
-    ``corrupt`` fault): resume must quarantine the torn file and
-    cold-start, converging to correct results regardless.
-    """
-    from ..checks.chaos import chaos_from_env, should_inject
-    cfg = chaos_from_env()
-    if cfg is None or not should_inject(cfg, "ckpt-corrupt", key):
-        return False
-    try:
-        data = path.read_bytes()
-        path.write_bytes(data[:max(1, len(data) // 2)])
-    except OSError:
-        return False
-    return True
-
-
-def quarantine_state(path: Path, reason: str = "") -> Optional[Path]:
-    """Move a refused save-state aside (never raises, like the store)."""
-    try:
-        qdir = path.parent / "quarantine"
-        qdir.mkdir(parents=True, exist_ok=True)
-        target = qdir / path.name
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = qdir / f"{path.name}.{suffix}"
-        os.replace(path, target)
-    except OSError as exc:
-        log.warning("could not quarantine save-state %s: %s", path, exc)
-        return None
-    log.warning("quarantined save-state %s (%s)", path.name,
-                reason or "refused")
-    return target
 
 
 def try_restore(path: Union[str, Path], *, spec_key: str,
@@ -395,7 +350,7 @@ def try_restore(path: Union[str, Path], *, spec_key: str,
                                   fingerprint=fingerprint)
     except SavestateError as exc:
         reason = f"{type(exc).__name__}: {exc}"
-        quarantine_state(p, reason)
+        quarantine(p, p.parent / "quarantine", reason)
         return None, reason
     return system, None
 

@@ -11,11 +11,11 @@ Layout::
 
     <root>/<fingerprint[:16]>/<spec-key[:2]>/<spec-key>.json
 
-Each entry file holds ``{"spec": ..., "result": ..., "fingerprint": ...}``
-and is written atomically (tempfile + rename), so concurrent workers and
-concurrent processes may share one store without locking: the worst case
-is both simulating the same point and one rename winning, which is
-harmless because results are deterministic.
+Each entry file holds ``{"spec": ..., "result": ..., "fingerprint": ...}``.
+Writing, quarantine and the layout follow :mod:`repro.casdir`, so
+concurrent workers and processes share one store without locking: the
+worst case is both simulating the same point and one rename winning,
+which is harmless because results are deterministic.
 
 The default root is ``~/.cache/repro-care/results``; override with the
 ``REPRO_RESULT_STORE`` environment variable (set it to ``0``, ``off`` or
@@ -24,190 +24,94 @@ the empty string to disable persistence entirely).
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
-import logging
-import os
 import shutil
-import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
+from ..casdir import CasDir, EnvDefault, FsckReport, source_digest
 from ..sim.stats import SimResult
 from .spec import ExperimentSpec
 
-log = logging.getLogger(__name__)
-
 ENV_VAR = "REPRO_RESULT_STORE"
-_DISABLED_VALUES = {"", "0", "off", "none", "disabled"}
-
-_fingerprint_cache: Optional[str] = None
 
 
+@functools.lru_cache(maxsize=None)
 def code_fingerprint() -> str:
     """Hash of every ``repro`` package source file (path + contents).
 
     Computed once per process; ~60 small files, so the cost is a few
-    milliseconds on first use.  Worker-safe memo: the value is a pure
-    function of the installed source tree, so every task in a warm
-    worker computes (or reuses) the identical string.
+    milliseconds on first use.  The value is a pure function of the
+    installed source tree, so every task in a warm worker computes (or
+    reuses) the identical string.
     """
-    global _fingerprint_cache
-    if _fingerprint_cache is None:
-        pkg_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for path in sorted(pkg_root.rglob("*.py")):
-            digest.update(str(path.relative_to(pkg_root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _fingerprint_cache = digest.hexdigest()  # simsan: skip=SS601
-    return _fingerprint_cache
+    pkg_root = Path(__file__).resolve().parent.parent
+    return source_digest(sorted(pkg_root.rglob("*.py")), pkg_root)
 
 
-@dataclass
-class FsckReport:
-    """What ``ResultStore.fsck`` found and did."""
-
-    scanned: int = 0
-    ok: int = 0
-    quarantined: List[str] = field(default_factory=list)
-    errors: List[str] = field(default_factory=list)   # per-file reasons
-
-    def summary(self) -> str:
-        return (f"fsck: {self.scanned} entr(ies) scanned, {self.ok} ok, "
-                f"{len(self.quarantined)} quarantined")
+def _load(path: Path) -> Tuple[ExperimentSpec, SimResult]:
+    payload = json.loads(path.read_text())
+    return (ExperimentSpec.from_dict(payload["spec"]),
+            SimResult.from_dict(payload["result"]))
 
 
-class ResultStore:
+def _load_result(path: Path) -> SimResult:
+    return SimResult.from_dict(json.loads(path.read_text())["result"])
+
+
+def _check(path: Path) -> Optional[str]:
+    """fsck: the entry loads and is filed under its spec's key."""
+    spec, _ = _load(path)
+    if spec.key() != path.stem:
+        return (f"key mismatch: spec hashes to {spec.key()[:12]}..., "
+                f"filed as {path.stem[:12]}...")
+    return None
+
+
+class ResultStore(CasDir):
     """On-disk result cache shared by benchmarks, examples, and the CLI."""
 
     def __init__(self, root: Union[str, Path],
                  fingerprint: Optional[str] = None) -> None:
-        self.root = Path(root)
-        self.fingerprint = fingerprint or code_fingerprint()
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.quarantined = 0
+        super().__init__(root, fingerprint or code_fingerprint(), ".json")
 
-    # -- paths ----------------------------------------------------------
-    @property
-    def namespace(self) -> Path:
-        return self.root / self.fingerprint[:16]
+    def path_for(self, spec: ExperimentSpec) -> Path:  # type: ignore[override]
+        return self._path(spec.key())
 
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.root / "quarantine" / self.fingerprint[:16]
-
-    def path_for(self, spec: ExperimentSpec) -> Path:
-        key = spec.key()
-        return self.namespace / key[:2] / f"{key}.json"
-
-    # -- access ---------------------------------------------------------
     def __contains__(self, spec: ExperimentSpec) -> bool:
         return self.path_for(spec).is_file()
 
     def get(self, spec: ExperimentSpec) -> Optional[SimResult]:
         """The stored result for ``spec``, or ``None`` on a miss.
 
-        A corrupt or truncated entry (torn write, bad disk, chaos) is
-        *quarantined* — moved aside under ``quarantine/`` with a warning
-        — instead of silently shadowing the key forever; the caller sees
-        a miss and a fresh simulation rewrites the entry.
+        An unreadable entry (torn write, bad disk, chaos, a directory in
+        its place) is quarantined and is a miss, so a fresh simulation
+        rewrites it instead of the entry aborting the sweep.
         """
-        path = self.path_for(spec)
-        try:
-            payload = json.loads(path.read_text())
-            result = SimResult.from_dict(payload["result"])
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            self._quarantine(path, reason=f"{type(exc).__name__}: {exc}")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self.read(spec.key(), _load_result)
 
     def put(self, spec: ExperimentSpec, result: SimResult) -> Path:
         """Persist ``result`` under ``spec``'s key (atomic rename)."""
-        path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(
             {"fingerprint": self.fingerprint, "spec": spec.to_dict(),
              "result": result.to_dict()},
             sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.writes += 1
-        self._maybe_chaos_corrupt(spec, path)
-        return path
+        return self.write(spec.key(), payload.encode(), "corrupt")
 
-    def _maybe_chaos_corrupt(self, spec: ExperimentSpec,
-                             path: Path) -> None:
-        """Chaos hook: ``REPRO_CHAOS`` ``corrupt`` truncates selected
-        freshly written entries so the quarantine/fsck path is exercised
-        against real torn files."""
-        from ..checks.chaos import chaos_from_env, corrupt_entry
-        chaos = chaos_from_env()
-        if chaos is not None and corrupt_entry(chaos, spec.key(), path):
-            log.debug("chaos: corrupted store entry %s", path.name)
-
-    def _quarantine(self, path: Path, reason: str = "") -> Optional[Path]:
-        """Move a bad entry into ``quarantine/`` (never raises)."""
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            target = self.quarantine_dir / path.name
-            suffix = 0
-            while target.exists():
-                suffix += 1
-                target = self.quarantine_dir / f"{path.name}.{suffix}"
-            os.replace(path, target)
-        except OSError as exc:
-            log.warning("could not quarantine corrupt entry %s: %s",
-                        path, exc)
-            return None
-        self.quarantined += 1
-        log.warning("quarantined corrupt store entry %s (%s)",
-                    path.name, reason or "unreadable")
-        return target
-
-    # -- maintenance ----------------------------------------------------
-    def entries(self) -> Iterator[Path]:
-        yield from self.namespace.glob("*/*.json")
-
-    def load_entries(self) -> Iterator[tuple]:
+    def load_entries(self) -> Iterator[Tuple[ExperimentSpec, SimResult]]:
         """Yield ``(ExperimentSpec, SimResult)`` for every readable entry.
 
         Deterministic order (sorted paths); unreadable or foreign files
-        are skipped, mirroring :meth:`get`.  This is the report
-        generator's input.
+        are skipped.  This is the report generator's input.
         """
         for path in sorted(self.entries()):
             try:
-                payload = json.loads(path.read_text())
-                spec = ExperimentSpec.from_dict(payload["spec"])
-                result = SimResult.from_dict(payload["result"])
-            except (OSError, KeyError, TypeError, ValueError,
-                    json.JSONDecodeError):
+                yield _load(path)
+            except (OSError, KeyError, TypeError, ValueError):
                 continue
-            yield spec, result
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
-
-    def fsck(self) -> FsckReport:
+    def fsck(self) -> FsckReport:  # type: ignore[override]
         """Scan the current namespace; quarantine corrupt entries.
 
         An entry is healthy when it parses as JSON, carries ``spec`` and
@@ -218,29 +122,7 @@ class ResultStore:
         the next sweep re-simulates those points instead of serving
         garbage or silently missing forever.
         """
-        report = FsckReport()
-        for path in sorted(self.entries()):
-            report.scanned += 1
-            reason = None
-            try:
-                payload = json.loads(path.read_text())
-                spec = ExperimentSpec.from_dict(payload["spec"])
-                SimResult.from_dict(payload["result"])
-                if spec.key() != path.stem:
-                    reason = (f"key mismatch: spec hashes to "
-                              f"{spec.key()[:12]}..., filed as "
-                              f"{path.stem[:12]}...")
-            except (OSError, KeyError, TypeError, ValueError,
-                    json.JSONDecodeError) as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-            if reason is None:
-                report.ok += 1
-                continue
-            report.errors.append(f"{path.name}: {reason}")
-            moved = self._quarantine(path, reason=reason)
-            if moved is not None:
-                report.quarantined.append(str(moved))
-        return report
+        return super().fsck(_check)
 
     def prune_stale(self) -> int:
         """Drop namespaces belonging to older code fingerprints."""
@@ -254,52 +136,23 @@ class ResultStore:
                 removed += 1
         return removed
 
-    def clear(self) -> None:
-        shutil.rmtree(self.namespace, ignore_errors=True)
 
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "quarantined": self.quarantined}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ResultStore({str(self.namespace)!r}, hits={self.hits}, "
-                f"misses={self.misses}, writes={self.writes})")
-
-
-_default_store: Optional[ResultStore] = None
-_default_resolved = False
+_DEFAULT: "EnvDefault[ResultStore]" = EnvDefault(ENV_VAR, "results",
+                                                  ResultStore)
 
 
 def default_store() -> Optional[ResultStore]:
     """Process-wide store from ``REPRO_RESULT_STORE`` (``None`` if disabled
     or the directory cannot be created)."""
-    global _default_store, _default_resolved
-    if not _default_resolved:
-        _default_resolved = True
-        raw = os.environ.get(ENV_VAR)
-        if raw is not None and raw.strip().lower() in _DISABLED_VALUES:
-            _default_store = None
-        else:
-            root = Path(raw) if raw else (
-                Path.home() / ".cache" / "repro-care" / "results")
-            store = ResultStore(root)
-            try:
-                store.namespace.mkdir(parents=True, exist_ok=True)
-                _default_store = store
-            except OSError:
-                _default_store = None
-    return _default_store
+    return _DEFAULT.current()
 
 
 def set_default_store(store: Optional[ResultStore]) -> None:
-    """Install ``store`` process-wide (tests use this with a tmp dir)."""
-    global _default_store, _default_resolved
-    _default_store = store
-    _default_resolved = True
+    """Install ``store`` process-wide, ignoring the environment until
+    :func:`reset_default_store` (tests use this with a tmp dir)."""
+    _DEFAULT.set(store)
 
 
 def reset_default_store() -> None:
     """Forget the cached default; next use re-reads the environment."""
-    global _default_store, _default_resolved
-    _default_store = None
-    _default_resolved = False
+    _DEFAULT.reset()

@@ -20,8 +20,8 @@ This module supplies the machinery the runner builds on:
   timeouts it detects itself, with the second.  Both transports
   therefore retry, preempt and fail the same points.
 * :func:`compute_timeout` — the per-point watchdog deadline.
-* :class:`SweepManifest` — a checkpoint file (atomic rename, like the
-  result store) tracking done/failed/pending point keys, so
+* :class:`SweepManifest` — a checkpoint file (atomic rename, see
+  :mod:`repro.casdir`) tracking done/failed/pending point keys, so
   ``python -m repro sweep --resume`` continues a killed campaign.
 * :class:`SweepSupervisor` / :func:`supervised_sweep` — the process-wide
   context the CLI installs around a sweep: failure collection across
@@ -40,12 +40,12 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from ..casdir import FsckReport, atomic_write
 from ..sim.stats import SimResult
 from .preempt import PREEMPT_ERROR, PreemptedError, clear_preempt
 from .spec import ExperimentSpec
@@ -331,20 +331,9 @@ class SweepManifest:
                 "meta": dict(self.meta), "points": self.points}
 
     def save(self) -> Path:
-        """Atomic write (tempfile + rename), mirroring the result store."""
+        """Atomic write (:func:`repro.casdir.atomic_write`)."""
         payload = json.dumps(self.to_dict(), sort_keys=True, indent=1)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, payload.encode())
         return self.path
 
     def checkpoint(self) -> None:
@@ -382,63 +371,39 @@ class SweepManifest:
         return manifest
 
 
-def fsck_manifests(paths: Sequence[Union[str, Path]]) -> Any:
+def fsck_manifests(paths: Sequence[Union[str, Path]]) -> FsckReport:
     """Validate sweep/campaign manifest files; quarantine corrupt ones.
 
     A truncated or hand-mangled manifest would crash ``--resume``, so
     ``store fsck`` covers the ledgers too: every file must parse, carry
     a supported version, and hold entries whose spec round-trips to its
-    key with a known status.  Bad files move aside (``quarantine/``
-    beside the manifest, numbered-suffix on collision — the store's
-    idiom) and the next sweep starts a fresh ledger; done points still
-    come from the result store.  Returns a
-    :class:`repro.harness.store.FsckReport`.
+    key with a known status.  Bad files move to ``quarantine/`` beside
+    the manifest and the next sweep starts a fresh ledger; done points
+    still come from the result store.
     """
-    from .store import FsckReport
-    statuses = (STATUS_PENDING, STATUS_DONE, STATUS_FAILED)
     report = FsckReport()
     for raw in paths:
         path = Path(raw)
-        if not path.is_file():
-            continue
-        report.scanned += 1
-        try:
-            manifest = SweepManifest.load(path)
-            for key, entry in manifest.points.items():
-                spec = ExperimentSpec.from_dict(entry["spec"])
-                if spec.key() != key:
-                    raise ValueError(
-                        f"entry {key[:12]} does not match its spec")
-                if entry["status"] not in statuses:
-                    raise ValueError(
-                        f"entry {key[:12]} has unknown status "
-                        f"{entry['status']!r}")
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            report.errors.append(f"{path.name}: {exc}")
-            moved = _quarantine_manifest(path)
-            if moved is not None:
-                report.quarantined.append(str(moved))
-            continue
-        report.ok += 1
+        if path.is_file():
+            report.record(path, _manifest_problem(path),
+                          path.parent / "quarantine")
     return report
 
 
-def _quarantine_manifest(path: Path) -> Optional[Path]:
-    """Move a corrupt manifest aside (never raises, like the store)."""
+def _manifest_problem(path: Path) -> Optional[str]:
+    statuses = (STATUS_PENDING, STATUS_DONE, STATUS_FAILED)
     try:
-        qdir = path.parent / "quarantine"
-        qdir.mkdir(parents=True, exist_ok=True)
-        target = qdir / path.name
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = qdir / f"{path.name}.{suffix}"
-        os.replace(path, target)
-    except OSError as exc:
-        log.warning("could not quarantine manifest %s: %s", path, exc)
-        return None
-    log.warning("quarantined corrupt manifest %s", path.name)
-    return target
+        manifest = SweepManifest.load(path)
+        for key, entry in manifest.points.items():
+            spec = ExperimentSpec.from_dict(entry["spec"])
+            if spec.key() != key:
+                return f"entry {key[:12]} does not match its spec"
+            if entry["status"] not in statuses:
+                return (f"entry {key[:12]} has unknown status "
+                        f"{entry['status']!r}")
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return str(exc)
+    return None
 
 
 # ----------------------------------------------------------------------

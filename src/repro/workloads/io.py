@@ -58,16 +58,14 @@ def _unrepresentable(trace: Trace) -> str:
     return "a record does not fit the format"
 
 
-def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write a trace in the native binary format (gzip if ``.gz``).
+def encode_trace(trace: Trace, compress: bool) -> bytes:
+    """A trace's native-format bytes (gzip'd when ``compress``).
 
-    The whole file is built in memory and written once; ``.gz`` files are
-    compressed at level 6 with ``mtime=0``, so one trace always yields the
-    same bytes.  Raises :class:`ValueError`, writing nothing, when a
-    record does not fit the format (``gap`` above :data:`MAX_GAP`, or
-    ``pc``/``addr`` outside u64): the file would reload as another trace.
+    Compression is level 6 with ``mtime=0``, so one trace always yields
+    the same bytes.  Raises :class:`ValueError` when a record does not
+    fit the format (``gap`` above :data:`MAX_GAP`, or ``pc``/``addr``
+    outside u64): the bytes would decode as another trace.
     """
-    path = Path(path)
     pack = _RECORD.pack
     try:
         body = b"".join([
@@ -75,7 +73,7 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
             for pc, addr, is_write, gap, dep in trace.records])
     except struct.error:
         raise ValueError(
-            f"{path}: cannot save trace {trace.name!r} losslessly: "
+            f"cannot save trace {trace.name!r} losslessly: "
             f"{_unrepresentable(trace)}") from None
     header = json.dumps({
         "name": trace.name, "seed": trace.seed, "suite": trace.suite,
@@ -83,9 +81,20 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     }).encode()
     blob = b"".join([_MAGIC, _PREAMBLE.pack(_VERSION, len(header)),
                      header, body])
-    if path.suffix == ".gz":
+    if compress:
         blob = gzip.compress(blob, compresslevel=6, mtime=0)
-    path.write_bytes(blob)
+    return blob
+
+
+def save_trace(trace: Trace, path: Union[str, Path]) -> None:
+    """Write a trace in the native binary format (gzip if ``.gz``).
+
+    The bytes come from :func:`encode_trace`, which raises
+    :class:`ValueError` for an unrepresentable trace before any file is
+    opened.
+    """
+    path = Path(path)
+    path.write_bytes(encode_trace(trace, compress=path.suffix == ".gz"))
 
 
 def load_trace(path: Union[str, Path]) -> Trace:

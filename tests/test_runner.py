@@ -153,3 +153,17 @@ def test_legacy_helpers_route_through_engine(isolated_store):
     assert spec.n_records == 400 and spec.n_cores == 1
     assert _result_cache[spec] is res
     assert isolated_store.stats()["writes"] == 1
+
+
+def test_unreadable_store_entry_is_quarantined_not_fatal(isolated_store):
+    """One entry the store cannot read (here a directory squatting on its
+    path) must cost one re-simulation, not abort the sweep's pre-scan."""
+    spec, other = specs_for(WORKLOADS[:2])
+    isolated_store.path_for(spec).mkdir(parents=True)
+    stats = SweepStats()
+    results = run_many([spec, other], workers=1, store=isolated_store,
+                       stats_out=stats)
+    assert len(results) == 2 and stats.simulated == 2
+    assert (isolated_store.quarantine_dir / f"{spec.key()}.json").is_dir()
+    assert isolated_store.quarantined == 1
+    assert isolated_store.get(spec) == results[0]   # rewritten as a file
